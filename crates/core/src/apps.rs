@@ -9,7 +9,9 @@ use bioalign::pairwise::{needleman_wunsch_score, smith_waterman_score};
 use bioseq::generate::SeqGen;
 use bioseq::hmm::ProfileHmm;
 use bioseq::{Alphabet, GapPenalties, Sequence, SubstitutionMatrix};
-use power5_sim::machine::{Machine, ProfileRegion, StopReason, Trap, Watchdog, WatchdogKind};
+use power5_sim::machine::{
+    Machine, ProfileRegion, RetireTally, StopReason, Trap, Watchdog, WatchdogKind,
+};
 use power5_sim::telemetry::ProfilerReport;
 use power5_sim::{
     Checkpoint, CoreConfig, Counters, Divergence, LockstepMode, StallBreakdown, SymbolMap, Tracer,
@@ -357,6 +359,9 @@ pub struct AppRun {
     /// period was requested, e.g. via
     /// [`Workload::run_full_instrumented`]).
     pub guest_profile: Option<Box<ProfilerReport>>,
+    /// Instructions this run's machine retired on each timed path.
+    /// Telemetry only, like [`AppRun::phases`].
+    pub retired: RetireTally,
 }
 
 /// Optional collection switches for one simulated run.
@@ -1236,6 +1241,7 @@ impl Workload {
                     stall_heatmap,
                     phases: PhaseNanos::default(),
                     guest_profile,
+                    retired: machine.retire_tally(),
                 },
                 tracer,
             )

@@ -1637,6 +1637,8 @@ impl Campaign {
                     instructions: run.counters.instructions,
                     attempts: attempts + 1,
                     phases: run.phases,
+                    retired: run.retired,
+                    observer: None,
                 },
                 run.guest_profile.as_deref(),
             );

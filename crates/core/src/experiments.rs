@@ -111,6 +111,8 @@ fn supervised_run(
                             instructions: run.counters.instructions,
                             attempts,
                             phases: run.phases,
+                            retired: run.retired,
+                            observer: (lockstep != LockstepMode::Off).then_some("lockstep"),
                         },
                         run.guest_profile.as_deref(),
                     );

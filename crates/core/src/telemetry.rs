@@ -31,6 +31,7 @@ use crate::json::Json;
 use crate::report::{Direction, Report};
 use crate::schema::check_schema;
 use power5_sim::telemetry::{Histogram, MetricsRegistry, ProfilerReport};
+use power5_sim::RetireTally;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -104,6 +105,12 @@ pub struct JobSpan {
     pub attempts: u32,
     /// Host phase breakdown.
     pub phases: PhaseNanos,
+    /// Instructions the final attempt retired on each timed path.
+    pub retired: RetireTally,
+    /// The per-instruction observer attached to the job's machine, if
+    /// any (`"lockstep"` or `"tracer"`): the only reason a job may
+    /// retire off the batched timed path.
+    pub observer: Option<&'static str>,
 }
 
 impl JobSpan {
@@ -274,11 +281,18 @@ impl TelemetryHub {
         st.host.inc("host.phase.execute_ns", span.phases.execute);
         st.host.inc("host.phase.oracle_ns", span.phases.oracle);
         st.host.inc("host.phase.checkpoint_ns", span.phases.checkpoint);
-        let fields = Json::obj()
+        st.host.inc("sim.retired.batched", span.retired.batched);
+        st.host.inc("sim.retired.pinned", span.retired.pinned);
+        st.host.inc("sim.retired.checked", span.retired.checked);
+        let mut fields = Json::obj()
             .set("job", Json::Str(span.job.clone()))
             .set("instructions", Json::Num(span.instructions as f64))
             .set("wall_ms", Json::Num(span.wall_ms))
-            .set("attempts", Json::Num(f64::from(span.attempts)));
+            .set("attempts", Json::Num(f64::from(span.attempts)))
+            .set("retired", retired_json(&span.retired));
+        if let Some(o) = span.observer {
+            fields = fields.set("observer", Json::Str(o.to_string()));
+        }
         emit(&mut st, self.inner.started, "job_retired", fields);
         st.spans.push(span);
     }
@@ -438,6 +452,14 @@ pub struct TelemetrySnapshot {
     pub context: Vec<(String, String)>,
 }
 
+/// Serialize a per-path retire tally as `{batched, pinned, checked}`.
+fn retired_json(t: &RetireTally) -> Json {
+    Json::obj()
+        .set("batched", Json::Num(t.batched as f64))
+        .set("pinned", Json::Num(t.pinned as f64))
+        .set("checked", Json::Num(t.checked as f64))
+}
+
 /// Serialize one histogram with summary scalars, key percentiles, and
 /// sparse buckets.
 fn histogram_json(h: &Histogram) -> Json {
@@ -530,7 +552,7 @@ impl TelemetrySnapshot {
             self.spans
                 .iter()
                 .map(|s| {
-                    Json::obj()
+                    let span = Json::obj()
                         .set("job", Json::Str(s.job.clone()))
                         .set("wall_ms", Json::Num(s.wall_ms))
                         .set("instructions", Json::Num(s.instructions as f64))
@@ -545,6 +567,11 @@ impl TelemetrySnapshot {
                                 .set("checkpoint_ns", Json::Num(s.phases.checkpoint as f64))
                                 .set("merge_ns", Json::Num(s.phases.merge as f64)),
                         )
+                        .set("retired", retired_json(&s.retired));
+                    match s.observer {
+                        Some(o) => span.set("observer", Json::Str(o.to_string())),
+                        None => span,
+                    }
                 })
                 .collect(),
         );
@@ -706,6 +733,13 @@ pub struct ProgressStats {
     /// counters it has never heard of (fusion rates, cache hits, …)
     /// instead of dropping unknown names.
     pub host_counters: Vec<(String, f64)>,
+    /// Instructions retired per timed path, summed over `job_retired`
+    /// events that carry a tally.
+    pub retired: RetireTally,
+    /// Jobs with no per-instruction observer (no tracer, no lockstep
+    /// oracle) that still retired instructions off the batched timed
+    /// path, in stream order — a routing regression.
+    pub off_batched_jobs: Vec<String>,
 }
 
 /// Validate a JSONL progress stream: every line parses, `seq` is
@@ -796,6 +830,23 @@ pub fn check_progress_stream(text: &str) -> Result<ProgressStats, String> {
                 open_jobs.remove(pos);
                 if event == "job_retired" {
                     stats.jobs_retired += 1;
+                    let path = |p: &str| {
+                        doc.get("retired")
+                            .and_then(|r| r.get(p))
+                            .and_then(Json::as_f64)
+                            .unwrap_or(0.0) as u64
+                    };
+                    let tally = RetireTally {
+                        batched: path("batched"),
+                        pinned: path("pinned"),
+                        checked: path("checked"),
+                    };
+                    stats.retired.batched += tally.batched;
+                    stats.retired.pinned += tally.pinned;
+                    stats.retired.checked += tally.checked;
+                    if tally.off_batched() > 0 && doc.get("observer").is_none() {
+                        stats.off_batched_jobs.push(j);
+                    }
                 } else {
                     stats.jobs_quarantined += 1;
                 }
@@ -896,6 +947,8 @@ mod tests {
             instructions: 5_000_000,
             attempts: 1,
             phases: PhaseNanos::default(),
+            retired: RetireTally::default(),
+            observer: None,
         };
         assert!((span.mips() - 5.0).abs() < 1e-9);
         let zero = JobSpan { wall_ms: 0.0, ..span };
@@ -916,6 +969,8 @@ mod tests {
                 instructions: 1000,
                 attempts: 1,
                 phases: PhaseNanos { decode: 10, execute: 20, oracle: 5, checkpoint: 0, merge: 0 },
+                retired: RetireTally { batched: 1000, ..RetireTally::default() },
+                observer: None,
             },
             None,
         );
@@ -947,6 +1002,42 @@ mod tests {
     }
 
     #[test]
+    fn checker_flags_jobs_off_the_batched_path() {
+        let buf = SharedBuffer::new();
+        let config = TelemetryConfig { profiler_period: 0, heartbeat_ms: 1000 };
+        let hub = TelemetryHub::with_progress(config, Box::new(buf.clone()));
+        let jobs = [
+            ("batched", RetireTally { batched: 10, ..RetireTally::default() }, None),
+            ("checked", RetireTally { checked: 20, ..RetireTally::default() }, Some("lockstep")),
+            ("pinned", RetireTally { batched: 1, pinned: 30, checked: 0 }, None),
+        ];
+        for (job, retired, observer) in jobs {
+            hub.job_started(job);
+            hub.job_retired(
+                JobSpan {
+                    job: job.into(),
+                    wall_ms: 1.0,
+                    instructions: retired.batched + retired.off_batched(),
+                    attempts: 1,
+                    phases: PhaseNanos::default(),
+                    retired,
+                    observer,
+                },
+                None,
+            );
+        }
+        let snap = hub.finish();
+        assert_eq!(snap.host.counter("sim.retired.batched"), 11);
+        assert_eq!(snap.host.counter("sim.retired.pinned"), 30);
+        assert_eq!(snap.host.counter("sim.retired.checked"), 20);
+        let stats = check_progress_stream(&buf.contents()).expect("stream is well-formed");
+        assert_eq!(stats.retired, RetireTally { batched: 11, pinned: 30, checked: 20 });
+        // The lockstep job is allowed off the batched path; the pinned
+        // one, with no observer, is a routing regression.
+        assert_eq!(stats.off_batched_jobs, vec!["pinned".to_string()]);
+    }
+
+    #[test]
     fn snapshot_serializes_and_flattens() {
         let hub = TelemetryHub::new(TelemetryConfig::default());
         hub.job_started("fasta/baseline/Stock");
@@ -970,6 +1061,8 @@ mod tests {
                 instructions: 50,
                 attempts: 1,
                 phases: PhaseNanos::default(),
+                retired: RetireTally::default(),
+                observer: None,
             },
             Some(&profile),
         );
@@ -1145,6 +1238,8 @@ mod tests {
             instructions: insns,
             attempts: 1,
             phases: PhaseNanos::default(),
+            retired: RetireTally::default(),
+            observer: None,
         };
         let mut p1 = ProfilerReport { blocks: 4, total_samples: 2, ..ProfilerReport::default() };
         p1.block_len.record(3);

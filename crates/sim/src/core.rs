@@ -888,20 +888,43 @@ impl TimingCore {
         if st.is_store() {
             c.stores += 1;
         }
-        if self.interval_insns > 0 && c.instructions.is_multiple_of(self.interval_insns) {
-            let (i0, cy0, m0) = self.interval_start;
-            let di = c.instructions - i0;
-            let dc = c.cycles.saturating_sub(cy0).max(1);
-            let dm = c.branches.direction_mispredictions - m0;
-            let cond =
-                (di as f64 * c.branches.conditional as f64 / c.instructions.max(1) as f64).max(1.0);
-            c.intervals.push(IntervalSample {
-                instructions: c.instructions,
-                cycles: c.cycles,
-                ipc: di as f64 / dc as f64,
-                mispredict_rate: dm as f64 / cond,
-            });
-            self.interval_start = (c.instructions, c.cycles, c.branches.direction_mispredictions);
+        self.sample_interval_edge();
+    }
+
+    /// Push an interval sample when the folded instruction count sits on
+    /// an interval edge. Both retire paths call this right after folding
+    /// counts: per instruction, or per segment clamped to the edge (see
+    /// [`TimingCore::insns_to_interval_edge`]), so the sample sees the
+    /// same counters either way.
+    fn sample_interval_edge(&mut self) {
+        let c = &mut self.counters;
+        if self.interval_insns == 0 || !c.instructions.is_multiple_of(self.interval_insns) {
+            return;
+        }
+        let (i0, cy0, m0) = self.interval_start;
+        let di = c.instructions - i0;
+        let dc = c.cycles.saturating_sub(cy0).max(1);
+        let dm = c.branches.direction_mispredictions - m0;
+        let cond =
+            (di as f64 * c.branches.conditional as f64 / c.instructions.max(1) as f64).max(1.0);
+        c.intervals.push(IntervalSample {
+            instructions: c.instructions,
+            cycles: c.cycles,
+            ipc: di as f64 / dc as f64,
+            mispredict_rate: dm as f64 / cond,
+        });
+        self.interval_start = (c.instructions, c.cycles, c.branches.direction_mispredictions);
+    }
+
+    /// Instructions left until the next interval-sampling edge
+    /// (`u64::MAX` when sampling is off). The batched retire path clamps
+    /// each segment to this so an edge can only fall on a segment's last
+    /// instruction, where [`TimingCore::flush_block`] samples it.
+    #[inline]
+    pub fn insns_to_interval_edge(&self) -> u64 {
+        match self.interval_insns {
+            0 => u64::MAX,
+            n => n - self.counters.instructions % n,
         }
     }
 
@@ -926,19 +949,22 @@ impl TimingCore {
 
     /// Account one committed instruction from its precomputed static
     /// timing record, deferring the per-class counter increments to a
-    /// later [`TimingCore::flush_block`]. Only valid when no tracer or
-    /// interval sampling is active (see
-    /// [`TimingCore::needs_per_insn_retire`]); callers accumulate the
-    /// class counts per block from the sidecar's prefix sums.
+    /// later [`TimingCore::flush_block`]. Only valid when no tracer is
+    /// active (see [`TimingCore::needs_per_insn_retire`]); callers
+    /// accumulate the class counts per segment from the sidecar's prefix
+    /// sums.
     #[inline]
     pub fn retire_batched(&mut self, st: &StaticTiming, pc: u32, event: StepEvent) -> u64 {
         self.schedule(st, pc, event).commit
     }
 
-    /// Fold a block's accumulated per-class counts into [`Counters`] and
-    /// advance the cycle counter to the last commit. `last_commit` is
-    /// monotonically non-decreasing, so taking it once per block equals
-    /// the per-instruction `max` fold.
+    /// Fold a segment's accumulated per-class counts into [`Counters`],
+    /// advance the cycle counter to the last commit, and push the
+    /// interval sample if the segment ended on an interval edge.
+    /// `last_commit` is monotonically non-decreasing, so taking it once
+    /// per segment equals the per-instruction `max` fold. The segment
+    /// must not cross an interval edge (clamp it to
+    /// [`TimingCore::insns_to_interval_edge`]).
     pub fn flush_block(&mut self, d: ClassCounts) {
         let c = &mut self.counters;
         c.instructions += d.executed;
@@ -949,6 +975,9 @@ impl TimingCore {
         c.loads += d.loads;
         c.stores += d.stores;
         c.cycles = c.cycles.max(self.last_commit);
+        if d.executed > 0 {
+            self.sample_interval_edge();
+        }
     }
 
     /// Cycle of the most recent commit (0 before the first retirement).
@@ -959,11 +988,11 @@ impl TimingCore {
         self.last_commit
     }
 
-    /// Whether retire-time bookkeeping (tracing, interval sampling)
-    /// requires visiting every instruction individually, ruling out the
-    /// block-batched commit path.
+    /// Whether retire-time bookkeeping requires visiting every
+    /// instruction individually, ruling out the block-batched commit
+    /// path. Only a tracer does: it emits one record per instruction.
     pub fn needs_per_insn_retire(&self) -> bool {
-        self.interval_insns > 0 || !self.tracer.is_off()
+        !self.tracer.is_off()
     }
 
     /// Build and deliver one pipeline event record (kept out of the retire

@@ -84,7 +84,8 @@ pub use fault::{FaultKind, FaultPlan, FaultSpec, InjectionWindow, XorShift64};
 pub use fuse::FusionStats;
 pub use lanes::{run_batch_functional, BatchRun, LaneExit, LaneGang, LaneRun, LaneStats, Trunk};
 pub use machine::{
-    Checkpoint, Machine, RunResult, StopReason, Trap, TrapCause, Watchdog, WatchdogKind,
+    Checkpoint, Machine, RetireTally, RunResult, StopReason, Trap, TrapCause, Watchdog,
+    WatchdogKind,
 };
 pub use oracle::{shrink_divergence, ArchField, Divergence, LockstepMode, Oracle, ShrunkRepro};
 pub use telemetry::{GuestProfiler, Histogram, HotRegion, MetricsRegistry, ProfilerReport};

@@ -71,6 +71,28 @@ pub struct RunResult {
     pub stop: StopReason,
 }
 
+/// Instructions a machine retired on each timed path, across all
+/// `run_timed` calls: [`Machine::run_timed`] takes the batched path
+/// unless a tracer pins it to the per-instruction reference loop or a
+/// lockstep oracle sends it to the checked loop. Harness state, like the
+/// tracer: excluded from checkpoints and untouched by restore.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetireTally {
+    /// Retired by the block-batched loop.
+    pub batched: u64,
+    /// Retired by the per-instruction reference loop.
+    pub pinned: u64,
+    /// Retired by the lockstep-checked loop.
+    pub checked: u64,
+}
+
+impl RetireTally {
+    /// Instructions retired off the batched path.
+    pub fn off_batched(&self) -> u64 {
+        self.pinned + self.checked
+    }
+}
+
 /// What raised a [`Trap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrapCause {
@@ -327,6 +349,9 @@ pub struct Machine {
     /// Dense per-code-word region index ([`NO_REGION`] = unattributed);
     /// rebuilt whenever the regions or the code image change.
     region_index: Vec<u32>,
+    /// Per code word, how many consecutive words from it share its
+    /// `region_index` entry; the batched loop cuts its segments there.
+    region_run: Vec<u32>,
     last_commit_seen: u64,
     /// Optional symbol table for symbolized heatmaps and trace dumps.
     symbols: Option<SymbolMap>,
@@ -349,6 +374,8 @@ pub struct Machine {
     /// Fusion-bug injection hook: PC of a pair's second constituent to
     /// compile deliberately wrong ([`Machine::inject_fusion_bug`]).
     fusion_sabotage: Option<u32>,
+    /// Instructions retired per timed path (harness state).
+    retired: RetireTally,
 }
 
 impl Machine {
@@ -411,6 +438,7 @@ impl Machine {
             halted: false,
             profile: None,
             region_index: Vec::new(),
+            region_run: Vec::new(),
             last_commit_seen: 0,
             symbols: None,
             insns_total: 0,
@@ -420,6 +448,7 @@ impl Machine {
             fused,
             fusion_enabled: true,
             fusion_sabotage: None,
+            retired: RetireTally::default(),
         })
     }
 
@@ -549,6 +578,12 @@ impl Machine {
         self.insns_total
     }
 
+    /// Instructions retired on each timed path so far (see
+    /// [`RetireTally`]).
+    pub fn retire_tally(&self) -> RetireTally {
+        self.retired
+    }
+
     /// Split borrow of the architectural state for the lane gang
     /// (DESIGN §18): the gang steps `cpu`/`mem` op-major across lanes
     /// while the decode tables and fused cache stay shared gang-side.
@@ -604,7 +639,8 @@ impl Machine {
     /// Recompute the dense PC→region table from the active profile
     /// regions: one entry per code word, holding the index of the first
     /// region containing it (matching the linear first-match scan this
-    /// table replaces on the retire path).
+    /// table replaces on the retire path), plus the same-region run
+    /// length per word.
     fn rebuild_region_index(&mut self) {
         self.region_index = match &self.profile {
             None => Vec::new(),
@@ -618,6 +654,15 @@ impl Machine {
                 })
                 .collect(),
         };
+        let index = &self.region_index;
+        let mut run = vec![0u32; index.len()];
+        for i in (0..index.len()).rev() {
+            run[i] = match index.get(i + 1) {
+                Some(&next) if next == index[i] => 1 + run[i + 1],
+                _ => 1,
+            };
+        }
+        self.region_run = run;
     }
 
     /// Profiling results as `(name, instructions, cycles)`, in region
@@ -914,13 +959,14 @@ impl Machine {
 
     /// Run with full timing for at most `max_insns` instructions.
     ///
-    /// Dispatches to the block-batched retire loop when nothing requires
-    /// per-instruction visits — no lockstep oracle, no per-function
-    /// profiling, no cycle watchdog, no tracer, no interval sampling —
-    /// and otherwise to the per-instruction reference loop
-    /// ([`Machine::run_timed_pinned`]). Both paths drive the same
-    /// pipeline scheduler and are cycle-exact to each other: identical
-    /// counters, stall partitions, site heatmaps, and checkpoints.
+    /// Dispatches to the block-batched retire loop unless a lockstep
+    /// oracle is attached (the checked loop) or a tracer needs one record
+    /// per instruction (the per-instruction reference loop,
+    /// [`Machine::run_timed_pinned`]). Per-function profiling, interval
+    /// sampling, the cycle watchdog, and the guest sampling profiler all
+    /// run batched. Every path drives the same pipeline scheduler and is
+    /// cycle-exact to the others: identical counters, profiles, interval
+    /// series, stall partitions, site heatmaps, and checkpoints.
     ///
     /// # Errors
     ///
@@ -930,10 +976,7 @@ impl Machine {
             // See `run_functional`: the checked loop is separate.
             return self.run_timed_checked(max_insns);
         }
-        if self.profile.is_some()
-            || self.watchdog.max_cycles.is_some()
-            || self.core.needs_per_insn_retire()
-        {
+        if self.core.needs_per_insn_retire() {
             return self.run_timed_pinned(max_insns);
         }
         self.run_timed_batched(max_insns)
@@ -943,9 +986,9 @@ impl Machine {
     /// counters and runs its own watchdog/profiling checks. This is the
     /// reference the batched path must match bit-for-bit (the
     /// cycle-exactness tests pin one side of the comparison to it), and
-    /// the fallback whenever a per-instruction observer is active. With a
-    /// lockstep oracle installed it defers to the checked loop, exactly
-    /// like [`Machine::run_timed`].
+    /// the path [`Machine::run_timed`] takes while a tracer is attached.
+    /// With a lockstep oracle installed it defers to the checked loop,
+    /// exactly like [`Machine::run_timed`].
     ///
     /// # Errors
     ///
@@ -975,27 +1018,32 @@ impl Machine {
                     .map_err(|m| self.trap(TrapCause::Mem(m), pc))?;
                 let commit = self.core.retire(Retired { insn: &insn, pc, event: ev });
                 if profiling {
-                    self.attribute_profile(idx + k, commit);
+                    self.attribute_profile(idx + k, 1, commit);
                 }
                 executed += 1;
                 self.insns_total += 1;
+                self.retired.pinned += 1;
                 if ev.halted {
                     self.halted = true;
                     break;
                 }
+                // Repair before the watchdog stop: a code-patching store
+                // that crosses the cycle limit must leave the decode
+                // tables matching memory, as a restore would rebuild them.
+                let repaired = match ev.mem {
+                    Some((addr, width, true)) => self.repair_stored_code(addr, width),
+                    _ => false,
+                };
                 if max_cycles.is_some_and(|limit| commit >= limit) {
                     stop = StopReason::Watchdog(WatchdogKind::Cycles);
                     self.sample_block_timed(block_pc, executed - block_start);
                     break 'blocks;
                 }
-                if let Some((addr, width, true)) = ev.mem {
-                    if self.repair_stored_code(addr, width) {
-                        // See `run_functional`: re-fetch after the
-                        // tables changed. The watchdog was already
-                        // checked above, so stop ordering is identical.
-                        self.sample_block_timed(block_pc, executed - block_start);
-                        continue 'blocks;
-                    }
+                if repaired {
+                    // See `run_functional`: re-fetch after the tables
+                    // changed.
+                    self.sample_block_timed(block_pc, executed - block_start);
+                    continue 'blocks;
                 }
             }
             self.sample_block_timed(block_pc, executed - block_start);
@@ -1017,36 +1065,51 @@ impl Machine {
         }
     }
 
-    /// Fold the per-class counters of `n` just-executed instructions from
-    /// block slots `[idx, idx + n)` into the core via the sidecar's
-    /// prefix sums. Must run against the same decode tables those
-    /// instructions were executed from (i.e. *before* any repair).
+    /// Retire bookkeeping for one batched segment of `n` just-executed
+    /// instructions from slots `[idx, idx + n)`: fold their per-class
+    /// counters via the sidecar's prefix sums (pushing the interval
+    /// sample when the segment ends on an edge), charge them to their
+    /// profile region, and count them. Must run against the same decode
+    /// tables those instructions were executed from (i.e. *before* any
+    /// repair), and before a trap is built so it carries the current
+    /// cycle count.
     #[inline]
-    fn flush_block_counts(&mut self, idx: usize, n: usize) {
-        if n > 0 {
-            let d = self.class_prefix[idx + n].minus(&self.class_prefix[idx]);
-            self.core.flush_block(d);
+    fn flush_segment(&mut self, idx: usize, n: usize) {
+        if n == 0 {
+            return;
         }
+        let d = self.class_prefix[idx + n].minus(&self.class_prefix[idx]);
+        self.core.flush_block(d);
+        if self.profile.is_some() {
+            self.attribute_profile(idx, n as u64, self.core.last_commit());
+        }
+        self.insns_total += n as u64;
+        self.retired.batched += n as u64;
     }
 
-    /// The block-batched timed loop. Each straight-line block retires
-    /// through the precomputed [`StaticTiming`] sidecar; the per-class
-    /// counter increments are folded once per block from the prefix sums
-    /// (flushed early when a trap, a halt, or a self-modifying store cuts
-    /// the block short), and budget/watchdog checks run once per block
-    /// via the same quota logic as the other loops. Only entered when no
-    /// per-instruction observer is active, so hoisting those checks
-    /// cannot change observable behaviour.
+    /// The block-batched timed loop. Each dispatch block retires through
+    /// the precomputed [`StaticTiming`] sidecar in one or more
+    /// *segments*: a segment ends at the block's quota, at a profile
+    /// region boundary, or at the next interval-sampling edge, so its
+    /// per-class counters, region charge and interval sample are folded
+    /// once at the segment's end (see [`Machine::flush_segment`]) with
+    /// exactly the values the per-instruction loop produces. A trap, a
+    /// halt, a self-modifying store, or a commit reaching the cycle
+    /// watchdog cuts the segment early, on the same instruction the
+    /// per-instruction loop stops at. The guest sampling profiler still
+    /// sees one record per dispatch block.
     fn run_timed_batched(&mut self, max_insns: u64) -> Result<RunResult, Trap> {
-        /// Why the block loop stopped before exhausting its quota.
+        /// Why the segment loop stopped before exhausting its length.
         enum Cut {
-            Quota,
+            Length,
             Halt,
             Fault(MemFault, u32),
             StoredCode(u32, u32),
+            Cycles,
         }
         let mut executed = 0;
         let mut stop = StopReason::Budget;
+        let cycle_limit = self.watchdog.max_cycles.unwrap_or(u64::MAX);
         while executed < max_insns && !self.halted {
             if self.insn_budget_expired() {
                 stop = StopReason::Watchdog(WatchdogKind::Instructions);
@@ -1060,59 +1123,81 @@ impl Machine {
             // split into disjoint field borrows below.
             let code_lo = u64::from(self.code_base);
             let code_hi = code_lo + (self.decoded.len() as u64) * 4;
-            // Split borrows: `step` mutates cpu/mem while the decode and
-            // timing tables are read in lockstep. Iterating the two
-            // slices zipped (instead of indexing per instruction) drops
-            // the bounds checks and the sidecar copy from the hot loop.
-            let Machine { cpu, mem, core, decoded, timing, .. } = &mut *self;
-            let mut n = 0usize;
-            let mut cut = Cut::Quota;
-            for (insn, st) in decoded[idx..idx + quota].iter().zip(&timing[idx..idx + quota]) {
-                let pc = cpu.pc;
-                let ev = match step(cpu, mem, insn) {
-                    Ok(ev) => ev,
-                    Err(m) => {
-                        cut = Cut::Fault(m, pc);
-                        break;
-                    }
-                };
-                core.retire_batched(st, pc, ev);
-                n += 1;
-                if ev.halted {
-                    cut = Cut::Halt;
-                    break;
+            let mut done = 0usize;
+            let cut = loop {
+                let seg = idx + done;
+                let mut len = quota - done;
+                if let Some(&same) = self.region_run.get(seg) {
+                    len = len.min(same as usize);
                 }
-                if st.is_store() {
-                    if let Some((addr, width, true)) = ev.mem {
-                        let lo = u64::from(addr);
-                        let hi = lo + u64::from(width.max(1)) - 1;
-                        if lo < code_hi && hi >= code_lo {
-                            cut = Cut::StoredCode(addr, width);
+                len = len.min(usize::try_from(self.core.insns_to_interval_edge()).unwrap_or(len));
+                // Split borrows: `step` mutates cpu/mem while the decode
+                // and timing tables are read in lockstep. Iterating the
+                // two slices zipped (instead of indexing per instruction)
+                // drops the bounds checks and the sidecar copy from the
+                // hot loop.
+                let Machine { cpu, mem, core, decoded, timing, .. } = &mut *self;
+                let mut n = 0usize;
+                let mut cut = Cut::Length;
+                for (insn, st) in decoded[seg..seg + len].iter().zip(&timing[seg..seg + len]) {
+                    let pc = cpu.pc;
+                    let ev = match step(cpu, mem, insn) {
+                        Ok(ev) => ev,
+                        Err(m) => {
+                            cut = Cut::Fault(m, pc);
                             break;
                         }
+                    };
+                    let commit = core.retire_batched(st, pc, ev);
+                    n += 1;
+                    if ev.halted {
+                        cut = Cut::Halt;
+                        break;
+                    }
+                    if st.is_store() {
+                        if let Some((addr, width, true)) = ev.mem {
+                            let lo = u64::from(addr);
+                            let hi = lo + u64::from(width.max(1)) - 1;
+                            if lo < code_hi && hi >= code_lo {
+                                cut = Cut::StoredCode(addr, width);
+                                break;
+                            }
+                        }
+                    }
+                    if commit >= cycle_limit {
+                        cut = Cut::Cycles;
+                        break;
                     }
                 }
-            }
-            // Fold the block's counters against the *pre-repair* prefix
-            // sums (its instructions executed under the old tables — a
-            // store may patch an earlier, already-executed slot of this
-            // very block), and before any trap is constructed so the trap
-            // is stamped with an up-to-date cycle count, exactly as the
-            // per-instruction loop would produce.
-            self.flush_block_counts(idx, n);
-            self.insns_total += n as u64;
-            self.sample_block_timed(block_pc, n as u64);
-            match cut {
-                Cut::Fault(m, pc) => return Err(self.trap(TrapCause::Mem(m), pc)),
-                Cut::Halt => {
-                    executed += n as u64;
-                    self.halted = true;
+                // Fold against the *pre-repair* prefix sums: a store may
+                // patch an earlier, already-executed slot of this very
+                // block.
+                self.flush_segment(seg, n);
+                done += n;
+                match cut {
+                    Cut::Length if done < quota => {}
+                    cut => break cut,
                 }
+            };
+            executed += done as u64;
+            match cut {
+                // Like the per-instruction loop, a trap skips the guest
+                // profiler's block record.
+                Cut::Fault(m, pc) => return Err(self.trap(TrapCause::Mem(m), pc)),
+                Cut::Halt => self.halted = true,
                 Cut::StoredCode(addr, width) => {
-                    executed += n as u64;
                     self.repair_stored_code(addr, width);
                 }
-                Cut::Quota => executed += n as u64,
+                Cut::Cycles | Cut::Length => {}
+            }
+            self.sample_block_timed(block_pc, done as u64);
+            // The last retired instruction is the first to reach the
+            // cycle limit (the segment loop cuts there); stop after it,
+            // and after a code-patching store's repair, as
+            // `run_timed_pinned` does.
+            if self.core.last_commit() >= cycle_limit {
+                stop = StopReason::Watchdog(WatchdogKind::Cycles);
+                break;
             }
         }
         if self.halted {
@@ -1275,10 +1360,11 @@ impl Machine {
                 .map_err(|m| self.trap(TrapCause::Mem(m), pc))?;
             let commit = self.core.retire(Retired { insn: &insn, pc, event: ev });
             if profiling {
-                self.attribute_profile(idx, commit);
+                self.attribute_profile(idx, 1, commit);
             }
             executed += 1;
             self.insns_total += 1;
+            self.retired.checked += 1;
             if let Some(ls) = self.lockstep.as_mut() {
                 ls.note_commit(pc);
                 if let Some(pre) = &pre {
@@ -1299,14 +1385,15 @@ impl Machine {
                 self.halted = true;
                 break;
             }
+            if let Some((addr, width, true)) = ev.mem {
+                // Same self-modifying-code repair as the unchecked loops,
+                // also before the watchdog stop; the next iteration
+                // re-fetches anyway.
+                self.repair_stored_code(addr, width);
+            }
             if max_cycles.is_some_and(|limit| commit >= limit) {
                 stop = StopReason::Watchdog(WatchdogKind::Cycles);
                 break;
-            }
-            if let Some((addr, width, true)) = ev.mem {
-                // Same self-modifying-code repair as the unchecked loop;
-                // the next iteration re-fetches anyway.
-                self.repair_stored_code(addr, width);
             }
         }
         if self.halted {
@@ -1315,16 +1402,18 @@ impl Machine {
         Ok(RunResult { executed, halted: self.halted, stop })
     }
 
-    /// Charge one committed instruction (at code slot `slot`, committing
-    /// at cycle `commit`) to its profile region via the dense index.
-    /// Only called when profiling is enabled.
-    fn attribute_profile(&mut self, slot: usize, commit: u64) {
+    /// Charge `n` committed instructions starting at code slot `slot`,
+    /// all in one profile region and the last committing at cycle
+    /// `commit`, to that region via the dense index. Commits are
+    /// monotone, so one charge of the whole commit-cycle delta equals
+    /// `n` per-instruction charges. Only called when profiling is enabled.
+    fn attribute_profile(&mut self, slot: usize, n: u64, commit: u64) {
         let delta = commit.saturating_sub(self.last_commit_seen);
         self.last_commit_seen = self.last_commit_seen.max(commit);
         let region = self.region_index.get(slot).copied().unwrap_or(NO_REGION);
         if region != NO_REGION {
             if let Some((_, counts)) = &mut self.profile {
-                counts[region as usize].0 += 1;
+                counts[region as usize].0 += n;
                 counts[region as usize].1 += delta;
             }
         }
@@ -1812,6 +1901,50 @@ loop:
     }
 
     #[test]
+    fn profile_regions_split_straight_line_blocks() {
+        // The loop body is one straight-line block that crosses two
+        // region boundaries and an unattributed gap, so the batched path
+        // must cut its segments inside the block.
+        const BODY: &str = "
+entry:
+    li r3, 0
+    li r4, 300
+    mtctr r4
+loop:
+    addi r3, r3, 1
+    addi r5, r3, 2
+    add r6, r5, r3
+    addi r7, r6, 3
+    add r8, r7, r5
+    bdnz loop
+    trap
+";
+        let regions = vec![
+            ProfileRegion { name: "entry".into(), start: 0x1000, end: 0x100c },
+            ProfileRegion { name: "head".into(), start: 0x100c, end: 0x1014 },
+            ProfileRegion { name: "tail".into(), start: 0x1018, end: 0x1030 },
+        ];
+        let mut b = machine(BODY);
+        let mut p = machine(BODY);
+        for m in [&mut b, &mut p] {
+            m.set_profile_regions(regions.clone());
+        }
+        let rb = b.run_timed(u64::MAX).unwrap();
+        let rp = p.run_timed_pinned(u64::MAX).unwrap();
+        assert_eq!(rb, rp);
+        assert_eq!(
+            b.retire_tally(),
+            RetireTally { batched: rb.executed, ..RetireTally::default() }
+        );
+        assert_eq!(b.profile_results(), p.profile_results());
+        assert_eq!(b.counters(), p.counters());
+        let profile = b.profile_results();
+        let insns: Vec<u64> = profile.iter().map(|&(_, i, _)| i).collect();
+        assert_eq!(insns, vec![3, 600, 901]);
+        assert!(profile.iter().all(|&(_, _, cycles)| cycles > 0));
+    }
+
+    #[test]
     fn run_length_table_matches_block_structure() {
         // COUNT_LOOP decodes to li, li, mtctr, addi, bdnz, trap: one
         // five-instruction run ending at the branch, then the trap block.
@@ -1950,14 +2083,9 @@ loop:
         assert_eq!(a, b, "original and restored machines diverged on a code fault");
     }
 
-    #[test]
-    fn stores_into_the_code_region_repair_the_decode_tables() {
-        // The program copies the `donor` instruction word over `patchme`
-        // *within the same straight-line block*, so the repaired decode
-        // and run-length tables must take effect immediately: memory is
-        // the authority, and the stored instruction (r3 += 100) executes
-        // instead of the original (r3 += 1).
-        const SMC: &str = "
+    /// Copies the `donor` instruction word over `patchme` *within the
+    /// same straight-line block* (the `stw` is the fifth instruction).
+    const SMC: &str = "
 entry:
     li r3, 0
     li r9, 4124
@@ -1970,6 +2098,13 @@ patchme:
 donor:
     addi r3, r3, 100
 ";
+
+    #[test]
+    fn stores_into_the_code_region_repair_the_decode_tables() {
+        // The repaired decode and run-length tables must take effect
+        // immediately: memory is the authority, and the stored
+        // instruction (r3 += 100) executes instead of the original
+        // (r3 += 1).
         for timed in [false, true] {
             let mut m = machine(SMC);
             let r = if timed { m.run_timed(u64::MAX) } else { m.run_functional(u64::MAX) }
@@ -1985,6 +2120,53 @@ donor:
         assert!(r.halted, "full-lockstep run must halt, not diverge: {:?}", r.stop);
         assert_eq!(checked.cpu().reg(Gpr(3)), 100);
         assert!(checked.take_divergence().is_none());
+    }
+
+    #[test]
+    fn cycle_watchdog_stop_on_a_code_patching_store_repairs_first() {
+        // Place the cycle limit exactly on the code-patching store's
+        // commit: the store is the first instruction to reach it.
+        let mut probe = machine(SMC);
+        probe.run_timed_pinned(4).unwrap();
+        let before = probe.counters().cycles;
+        probe.run_timed_pinned(1).unwrap();
+        let limit = probe.counters().cycles;
+        assert!(before < limit, "the store must be the first commit at the limit");
+        for path in ["batched", "pinned", "checked"] {
+            let fresh = || {
+                let mut m = machine(SMC);
+                if path == "checked" {
+                    m.set_lockstep(LockstepMode::Full);
+                }
+                m
+            };
+            let run = |m: &mut Machine| {
+                if path == "pinned" { m.run_timed_pinned(u64::MAX) } else { m.run_timed(u64::MAX) }
+                    .unwrap()
+            };
+            let mut cont = fresh();
+            cont.set_watchdog(Watchdog { max_cycles: Some(limit), ..Watchdog::default() });
+            let r = run(&mut cont);
+            assert_eq!(r.stop, StopReason::Watchdog(WatchdogKind::Cycles), "{path}");
+            assert_eq!(r.executed, 5, "{path}: stops on the store");
+            // Continuing the stopped machine must equal rebuilding it
+            // from memory via checkpoint and restore.
+            let mut restored = fresh();
+            restored.restore(&cont.checkpoint()).unwrap();
+            for m in [&mut cont, &mut restored] {
+                m.set_watchdog(Watchdog::default());
+                assert!(run(m).halted, "{path}");
+                assert_eq!(m.cpu().reg(Gpr(3)), 100, "{path}: the stored instruction executes");
+            }
+            assert_eq!(cont.checkpoint(), restored.checkpoint(), "{path}");
+            let tally = cont.retire_tally();
+            let on_path = match path {
+                "batched" => tally.batched,
+                "pinned" => tally.pinned,
+                _ => tally.checked,
+            };
+            assert_eq!(on_path, cont.insns_total(), "{path}: every retire on its own path");
+        }
     }
 
     #[test]

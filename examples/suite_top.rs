@@ -13,8 +13,10 @@
 //!
 //! # CI: validate a completed stream — every line parses, seq is
 //! # contiguous, elapsed_ms is monotone, every started job reached a
-//! # terminal event — and print a summary. Exits non-zero on a
-//! # malformed stream or fewer heartbeats than --min-heartbeats.
+//! # terminal event — and print a summary, including the instructions
+//! # retired on each timed path. Exits non-zero on a malformed stream,
+//! # fewer heartbeats than --min-heartbeats, or a job that retired off
+//! # the batched timed path with no tracer or lockstep oracle attached.
 //! cargo run --example suite_top -- --check /tmp/progress.jsonl [--min-heartbeats <n>]
 //! ```
 
@@ -194,6 +196,10 @@ fn check(path: &str, min_heartbeats: u64, allow_truncated: bool, stall_factor: f
             counter("lanes.exit_refetch").unwrap_or(0.0),
         );
     }
+    let r = &stats.retired;
+    if r.batched + r.off_batched() > 0 {
+        println!("retire paths: batched {}, pinned {}, checked {}", r.batched, r.pinned, r.checked);
+    }
     if stats.batch_retires > 0 {
         // Batch-retire bursts are quiet-then-burst progress from a
         // lane-batch worker; their forgiven gaps are reported here and
@@ -214,6 +220,16 @@ fn check(path: &str, min_heartbeats: u64, allow_truncated: bool, stall_factor: f
         eprintln!(
             "suite_top: stalled — max gap {:.0} ms exceeds {stall_factor}x heartbeat ({} ms)",
             stats.max_gap_ms, stats.heartbeat_ms
+        );
+        return ExitCode::from(2);
+    }
+    if !stats.off_batched_jobs.is_empty() {
+        // Only a tracer or a lockstep oracle may keep a timed run off
+        // the batched path; anything else is a routing regression.
+        eprintln!(
+            "suite_top: {} job(s) with no tracer or lockstep retired off the batched path: {:?}",
+            stats.off_batched_jobs.len(),
+            stats.off_batched_jobs
         );
         return ExitCode::from(2);
     }
