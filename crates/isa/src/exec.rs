@@ -49,20 +49,62 @@ impl fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
+/// Granularity of [`Memory`]'s touched-page tracking, and of the
+/// sparse memory image in a simulator checkpoint.
+pub const PAGE_SIZE: usize = 4096;
+
 /// Flat little-endian simulated memory.
 ///
 /// Real POWER5 memory is big-endian; the byte order is invisible to every
 /// experiment in the reproduction (DESIGN.md §7) and little-endian keeps
 /// host-side data serialization trivial.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Memory also keeps one bit per [`PAGE_SIZE`] page recording whether
+/// the page has been written since it was last cleared. Every writer
+/// sets it, so **every nonzero page is marked touched**; snapshotting
+/// and clearing the image ([`Memory::touched_pages`], [`Memory::clear`])
+/// then cost what a program wrote, not the size of memory. Equality
+/// compares the bytes only: two memories with the same contents are
+/// equal whatever their touch histories.
+#[derive(Debug, Clone)]
 pub struct Memory {
     data: Vec<u8>,
+    /// Touched-page bitmap, bit `p % 64` of word `p / 64` for page `p`.
+    touched: Vec<u64>,
 }
+
+/// The page indices set in a touched-page bitmap, ascending.
+fn set_pages(bitmap: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bitmap.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
+/// The byte range of page `page` in a memory of `size` bytes.
+fn page_bytes(page: usize, size: usize) -> std::ops::Range<usize> {
+    let start = page * PAGE_SIZE;
+    start..(start + PAGE_SIZE).min(size)
+}
+
+impl PartialEq for Memory {
+    fn eq(&self, other: &Self) -> bool {
+        self.data == other.data
+    }
+}
+
+impl Eq for Memory {}
 
 impl Memory {
     /// Allocate `size` bytes of zeroed memory.
     pub fn new(size: usize) -> Self {
-        Memory { data: vec![0; size] }
+        Memory { data: vec![0; size], touched: vec![0; size.div_ceil(PAGE_SIZE).div_ceil(64)] }
     }
 
     /// Memory size in bytes.
@@ -75,9 +117,34 @@ impl Memory {
         &self.data
     }
 
-    /// Mutable raw byte contents (host-side checkpoint restore).
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.data
+    /// Every page written since memory was created or last cleared, in
+    /// ascending address order, as `(start address, page bytes)`. The
+    /// last page is short when the size is not a multiple of
+    /// [`PAGE_SIZE`]. Pages absent from this list are all zero.
+    pub fn touched_pages(&self) -> impl Iterator<Item = (u32, &[u8])> + '_ {
+        set_pages(&self.touched).map(|page| {
+            let bytes = page_bytes(page, self.data.len());
+            (bytes.start as u32, &self.data[bytes])
+        })
+    }
+
+    /// Zero all of memory, in time proportional to the touched pages
+    /// (only they can be nonzero), and mark every page untouched.
+    pub fn clear(&mut self) {
+        let Memory { data, touched } = self;
+        let size = data.len();
+        for page in set_pages(touched) {
+            data[page_bytes(page, size)].fill(0);
+        }
+        touched.fill(0);
+    }
+
+    /// Mark the page holding byte `a` touched. A naturally aligned
+    /// halfword or word never straddles a page, so one call covers it.
+    #[inline]
+    fn touch(&mut self, a: usize) {
+        let page = a / PAGE_SIZE;
+        self.touched[page / 64] |= 1 << (page % 64);
     }
 
     fn check(&self, addr: u32, bytes: u32) -> Result<usize, MemFault> {
@@ -125,6 +192,7 @@ impl Memory {
     pub fn store_u8(&mut self, addr: u32, value: u8) -> Result<(), MemFault> {
         let a = self.check(addr, 1)?;
         self.data[a] = value;
+        self.touch(a);
         Ok(())
     }
 
@@ -133,6 +201,7 @@ impl Memory {
     pub fn store_u16(&mut self, addr: u32, value: u16) -> Result<(), MemFault> {
         let a = self.check_aligned(addr, 2)?;
         self.data[a..a + 2].copy_from_slice(&value.to_le_bytes());
+        self.touch(a);
         Ok(())
     }
 
@@ -141,6 +210,7 @@ impl Memory {
     pub fn store_u32(&mut self, addr: u32, value: u32) -> Result<(), MemFault> {
         let a = self.check_aligned(addr, 4)?;
         self.data[a..a + 4].copy_from_slice(&value.to_le_bytes());
+        self.touch(a);
         Ok(())
     }
 
@@ -150,13 +220,25 @@ impl Memory {
     pub fn flip_bit(&mut self, addr: u32, bit: u32) {
         if let Some(b) = self.data.get_mut(addr as usize) {
             *b ^= 1 << (bit & 7);
+            self.touch(addr as usize);
         }
     }
 
     /// Copy a byte slice into memory at `addr` (host-side loader).
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), MemFault> {
-        let a = self.check(addr, bytes.len() as u32)?;
+        // No slice of 4 GiB or more fits a 32-bit address space.
+        let len = u32::try_from(bytes.len()).map_err(|_| MemFault {
+            addr,
+            bytes: u32::MAX,
+            kind: MemFaultKind::OutOfBounds,
+        })?;
+        let a = self.check(addr, len)?;
         self.data[a..a + bytes.len()].copy_from_slice(bytes);
+        if !bytes.is_empty() {
+            for page in a / PAGE_SIZE..=(a + bytes.len() - 1) / PAGE_SIZE {
+                self.touch(page * PAGE_SIZE);
+            }
+        }
         Ok(())
     }
 

@@ -47,6 +47,6 @@ pub mod insn;
 pub mod reg;
 
 pub use encode::{decode, encode, DecodeError};
-pub use exec::{eval_cond, rlwinm_mask, step, CpuState, Memory, StepEvent};
+pub use exec::{eval_cond, rlwinm_mask, step, CpuState, Memory, StepEvent, PAGE_SIZE};
 pub use insn::{ExecUnit, Instruction, LatencyClass};
 pub use reg::{CrBit, CrField, Gpr};

@@ -210,9 +210,6 @@ pub struct ProfileRegion {
 /// `(cycles, instructions)` charged so far.
 type ProfileState = (Vec<ProfileRegion>, Vec<(u64, u64)>);
 
-/// Checkpoint memory-page granularity: all-zero pages are elided.
-const PAGE: usize = 4096;
-
 /// Complete serializable simulation state, produced by
 /// [`Machine::checkpoint`] and reinstalled by [`Machine::restore`].
 /// Resuming from a checkpoint is bit-exact: a run of `N` instructions
@@ -237,7 +234,8 @@ pub struct Checkpoint {
     pub pc: u32,
     /// Simulated memory size in bytes.
     pub mem_size: usize,
-    /// Sparse memory image: `(base_address, bytes)` per nonzero 4 KiB page.
+    /// Sparse memory image: `(base_address, bytes)` per nonzero
+    /// [`ppc_isa::PAGE_SIZE`] page, in ascending address order.
     pub pages: Vec<(u32, Vec<u8>)>,
     /// Base address of the pre-decoded code region.
     pub code_base: u32,
@@ -329,6 +327,9 @@ pub struct Machine {
     cpu: CpuState,
     mem: Memory,
     core: TimingCore,
+    /// [`config_digest`] of the core's configuration, which never changes
+    /// after construction.
+    config_digest: u64,
     /// Pre-decoded image (indexed by `(pc - base) / 4`). Invalid words
     /// hold [`INVALID_SLOT`] and are guarded by a zero in `run_len`, so
     /// the fetch hit path reads the instruction with no `Option` test.
@@ -423,6 +424,7 @@ impl Machine {
             .collect();
         let (decoded, run_len) = code_tables(&slots);
         let (timing, class_prefix) = timing_tables(&decoded);
+        let config_digest = config_digest(&cfg);
         let mut core = TimingCore::new(cfg);
         core.set_code_region(base, decoded.len());
         let fused = FusedCache::new(decoded.len());
@@ -430,6 +432,7 @@ impl Machine {
             cpu: CpuState::new(entry),
             mem,
             core,
+            config_digest,
             decoded,
             run_len,
             timing,
@@ -1629,21 +1632,22 @@ impl Machine {
 
     /// Capture the complete simulation state. See [`Checkpoint`].
     pub fn checkpoint(&self) -> Checkpoint {
-        let bytes = self.mem.bytes();
-        let mut pages = Vec::new();
-        for (i, page) in bytes.chunks(PAGE).enumerate() {
-            if page.iter().any(|&b| b != 0) {
-                pages.push(((i * PAGE) as u32, page.to_vec()));
-            }
-        }
+        // Every nonzero page is touched, so filtering the touched pages
+        // (ascending) yields exactly the nonzero pages of a full scan.
+        let pages = self
+            .mem
+            .touched_pages()
+            .filter(|(_, page)| page.iter().any(|&b| b != 0))
+            .map(|(addr, page)| (addr, page.to_vec()))
+            .collect();
         Checkpoint {
-            config_digest: config_digest(self.core.config()),
+            config_digest: self.config_digest,
             gpr: self.cpu.gpr,
             cr: self.cpu.cr.0,
             lr: self.cpu.lr,
             ctr: self.cpu.ctr,
             pc: self.cpu.pc,
-            mem_size: bytes.len(),
+            mem_size: self.mem.size(),
             pages,
             code_base: self.code_base,
             code_len: self.decoded.len(),
@@ -1666,7 +1670,7 @@ impl Machine {
     /// any microarchitectural table shape does not match; the machine is
     /// left in an unspecified (but non-panicking) state on error.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), String> {
-        let digest = config_digest(self.core.config());
+        let digest = self.config_digest;
         if ck.config_digest != digest {
             return Err(format!(
                 "checkpoint config digest {:#018x} does not match machine {digest:#018x}",
@@ -1680,15 +1684,13 @@ impl Machine {
                 self.mem.size()
             ));
         }
-        let mem = self.mem.bytes_mut();
-        mem.fill(0);
+        // Zeroing the touched pages zeroes the whole image; afterwards
+        // exactly the checkpoint's pages are touched.
+        self.mem.clear();
         for (addr, data) in &ck.pages {
-            let start = *addr as usize;
-            let end = start.checked_add(data.len()).ok_or("checkpoint page overflows")?;
-            if end > mem.len() {
-                return Err(format!("checkpoint page at {addr:#x} exceeds memory"));
-            }
-            mem[start..end].copy_from_slice(data);
+            self.mem
+                .write_bytes(*addr, data)
+                .map_err(|_| format!("checkpoint page at {addr:#x} exceeds memory"))?;
         }
         self.cpu.gpr = ck.gpr;
         self.cpu.cr = CondReg(ck.cr);

@@ -52,7 +52,7 @@ fn assert_all_batched(app: App, m: &Machine, batched: u64) {
 /// Run `batched` through `run_timed` and `pinned` through the reference
 /// loop, and require identical results, counters, profiles, registers,
 /// and retire paths. Callers compare full checkpoints where they need
-/// the whole state (a checkpoint scans the entire memory image).
+/// the whole state (memory, predictor and cache tables, scoreboard).
 fn run_both(app: App, batched: &mut Machine, pinned: &mut Machine, budget: u64) -> RunResult {
     let (b0, p0) = (batched.retire_tally().batched, pinned.retire_tally().pinned);
     let rb = batched.run_timed(budget).expect("batched run");
@@ -176,6 +176,7 @@ fn cycle_watchdog_cuts_match_at_every_offset() {
             }
             let r = run_both(app, &mut batched, &mut pinned, BUDGET);
             assert_eq!(r.stop, StopReason::Watchdog(WatchdogKind::Cycles), "{}", app.name());
+            checkpoints_match(app, &batched.checkpoint(), &pinned.checkpoint());
             // A cut whose preceding word is no branch stopped inside a
             // straight-line run, i.e. in the middle of a dispatch block.
             let pc = batched.cpu().pc;
@@ -189,6 +190,7 @@ fn cycle_watchdog_cuts_match_at_every_offset() {
                 m.set_watchdog(Watchdog { max_cycles: Some(limit * 2 + 1), ..Watchdog::default() });
             }
             run_both(app, &mut batched, &mut pinned, BUDGET);
+            checkpoints_match(app, &batched.checkpoint(), &pinned.checkpoint());
 
             // Run a few resumes to completion (each is a whole app run).
             if k % 32 == 0 {
